@@ -16,7 +16,7 @@ passes need to resolve names without importing anything:
   ``self.cache = ResultCache(...)`` and module-level instances like
   ``_HITS_TOTAL = get_counter(...)`` (only direct ``ClassName(...)``
   calls are recorded — a factory call yields no type, by design);
-* module-level locks (``_FORK_LOCK = threading.Lock()``).
+* module-level locks (``_LOCK = threading.Lock()``).
 
 A lock *identity* is the string ``"<rel>::<Class>.<attr>"`` (or
 ``"<rel>::<NAME>"`` for module globals): every runtime instance of a

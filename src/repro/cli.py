@@ -193,21 +193,23 @@ def _run_batch(
     queries: list[FastaRecord],
     args: argparse.Namespace,
 ) -> int:
-    """Stream a batch through the service, printing attributed hits."""
+    """Stream a batch through the service, printing attributed hits, then
+    close the service (its worker processes, if any)."""
     _hit_header()
     engine_label = _engine_label(args)
     total_hits = dropped = count = 0
     stats = SearchStats()
     started = time.perf_counter()
-    for result in service.iter_results(queries, **_search_kwargs(args)):
-        count += 1
-        total_hits += len(result.hits)
-        dropped += result.dropped_boundary
-        stats.merge(result.stats)
-        _print_result(
-            result.query_id, engine_label, result.threshold, result.hits,
-            result.dropped_boundary, args.limit,
-        )
+    with service:
+        for result in service.iter_results(queries, **_search_kwargs(args)):
+            count += 1
+            total_hits += len(result.hits)
+            dropped += result.dropped_boundary
+            stats.merge(result.stats)
+            _print_result(
+                result.query_id, engine_label, result.threshold, result.hits,
+                result.dropped_boundary, args.limit,
+            )
     wall = time.perf_counter() - started
     print(
         f"# queries={count} hits={total_hits} dropped={dropped} "
@@ -897,7 +899,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--linger-ms", type=float, default=2.0,
-        help="max milliseconds a batch waits for more queries",
+        help="max milliseconds a batch waits for more queries; only a "
+        "multi-worker process service (--executor processes/spawn, "
+        "--workers > 1) waits, and only while requests arrive less than "
+        "this far apart",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, metavar="N",

@@ -6,10 +6,13 @@ single dispatcher task assembles them into batches and hands each batch to
 a blocking runner (one ``SearchService.search_batch`` call) on an executor
 thread, so N concurrent clients cost one engine dispatch instead of N:
 
-* a batch grows until it holds ``max_batch`` queries or ``linger`` seconds
-  have passed since its first query arrived — under load batches fill
-  instantly and the linger never matters; when idle a lone query waits at
-  most ``linger`` before running alone;
+* a batch takes every compatible query already queued, up to
+  ``max_batch``.  It waits up to ``linger`` for more only when the service
+  could run more queries at once than the batch holds (``slots``: process
+  workers; threads and a single worker are one slot) *and* the last two
+  admissions came less than one linger apart.  Otherwise it dispatches at
+  once: on a single-slot service a wait only idles the engine, since
+  queries arriving while a batch runs queue up and ride in the next one;
 * only queries with the same :class:`BatchKey` (threshold / e-value /
   top-k / search mode) can share a ``search_batch`` call; a query with a
   different key seeds the *next* batch instead of being reordered behind
@@ -28,7 +31,7 @@ worker pool parallelises *inside* the batch), and it takes ``pause`` — an
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Awaitable, Callable
 
@@ -81,7 +84,7 @@ class PendingQuery:
     query: Query
     key: BatchKey
     future: asyncio.Future
-    submitted: float = field(default_factory=perf_counter)
+    submitted: float  # perf_counter() at admission
 
 
 #: Runner signature: executes one batch *off* the event loop and returns
@@ -101,6 +104,7 @@ class MicroBatcher:
         max_queue: int = 256,
         pause: asyncio.Lock | None = None,
         on_batch: Callable[[int, dict], None] | None = None,
+        slots: int = 1,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -108,15 +112,20 @@ class MicroBatcher:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if linger < 0:
             raise ValueError(f"linger must be >= 0, got {linger}")
+        if slots < 1:
+            raise ValueError(f"slots must be >= 1, got {slots}")
         self._runner = runner
         self.max_batch = max_batch
         self.linger = linger
         self.max_queue = max_queue
+        self.slots = slots
         self.pause = pause if pause is not None else asyncio.Lock()
         self._on_batch = on_batch
         self._queue: "asyncio.Queue[PendingQuery | None]" = asyncio.Queue()
         self._holdover: PendingQuery | None = None
         self._pending = 0  # admitted and not yet resolved
+        self._last_admitted = float("-inf")
+        self._arrival_gap = float("inf")  # between the last two admissions
         self._task: asyncio.Task | None = None
         self._stopping = False
 
@@ -150,7 +159,10 @@ class MicroBatcher:
                 f"limit {self.max_queue})"
             )
         future = asyncio.get_running_loop().create_future()
-        item = PendingQuery(query=query, key=key, future=future)
+        now = perf_counter()
+        item = PendingQuery(query=query, key=key, future=future, submitted=now)
+        self._arrival_gap = now - self._last_admitted
+        self._last_admitted = now
         self._pending += 1
         _SUBMITTED_TOTAL.inc()
         _QUEUE_DEPTH.set(self._pending)
@@ -183,7 +195,12 @@ class MicroBatcher:
             batch = [first]
             deadline = loop.time() + self.linger
             while len(batch) < self.max_batch:
-                item = await self._next_item(deadline - loop.time())
+                lingering = (
+                    len(batch) < self.slots and self._arrival_gap < self.linger
+                )
+                item = await self._next_item(
+                    deadline - loop.time() if lingering else 0.0
+                )
                 if item is None:
                     break  # linger spent (or the stop sentinel arrived)
                 if item.key != first.key:

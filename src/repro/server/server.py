@@ -170,6 +170,8 @@ class SearchServer:
         :attr:`port` after :meth:`start`).
     max_batch, linger, max_queue:
         Micro-batcher shape — see :class:`~repro.server.batcher.MicroBatcher`.
+        The batcher's slot count is the service's process workers (threads
+        count as one slot): a single-slot service never lingers.
     cache_size:
         Result-LRU capacity in queries (0 disables caching).
     reload_poll:
@@ -301,6 +303,10 @@ class SearchServer:
             self._run_batch,
             pause=self._pause,
             on_batch=self._on_batch,
+            # Queries the service runs at once: thread workers share the
+            # GIL, so only process workers add slots.
+            slots=1 if self.service.executor == "threads"
+            else self.service.workers,
             **self._batch_shape,
         )
         self._batcher.start()
@@ -349,6 +355,10 @@ class SearchServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         if self._executor is not None:
+            if self.service is not None:  # reap its worker processes
+                await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self.service.close
+                )
             self._executor.shutdown(wait=True)
         if self._request_log is not None:
             self._request_log.close()
@@ -416,7 +426,9 @@ class SearchServer:
         """Re-open the index iff its on-disk fingerprint changed.
 
         Drains in-flight work first: the pause lock is only granted between
-        batches, so no batch ever spans two index generations.
+        batches, so no batch ever spans two index generations.  The old
+        generation's service is closed (its worker processes reaped) once
+        the new one is in place.
         """
         assert self._pause is not None and self._executor is not None
         loop = asyncio.get_running_loop()
@@ -437,7 +449,7 @@ class SearchServer:
             service, epoch = await loop.run_in_executor(
                 self._executor, self._open_service
             )
-            self.service = service
+            retired, self.service = self.service, service
             self._epoch = epoch
             self.generation += 1
             _GENERATION.set(self.generation)
@@ -447,6 +459,8 @@ class SearchServer:
                 "hot reload: %s -> generation %d",
                 self.index_path, self.generation,
             )
+        # Drained under the pause lock, so no batch still uses it.
+        await loop.run_in_executor(self._executor, retired.close)
         return True
 
     # ------------------------------------------------------------ connections

@@ -11,12 +11,11 @@ the serving layer on top of that framing:
   (``SearchService(store=...)`` / :meth:`SearchService.from_store`) so the
   service cold-starts without any index construction;
 * it accepts **batches** of queries (strings, FASTA records, or a FASTA
-  file) and runs them across a worker pool: threads by default, a
-  fork-based :class:`~concurrent.futures.ProcessPoolExecutor` where each
-  worker inherits the already-built engine via copy-on-write fork instead
-  of rebuilding or pickling it, or — for store-backed services — a
-  spawn-based pool whose workers *reopen the store by path* (mmap, no fork
-  needed, works on any platform);
+  file) and runs them across a worker pool: threads by default, or one
+  warm :class:`WarmPool` of processes per service — forked workers that
+  inherit the already-built engine copy-on-write instead of rebuilding or
+  pickling it, or, for store-backed services, spawned workers that *reopen
+  the store by path* (mmap, no fork needed, works on any platform);
 * every raw hit is attributed back to ``(sequence_id, local positions)``
   with :meth:`SequenceDatabase.locate_hit`, and hits spanning a
   concatenation boundary — artifacts of the concatenation, not alignments
@@ -31,7 +30,9 @@ import multiprocessing
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -296,38 +297,163 @@ class BatchReport:
         return len(self.results) / self.wall_seconds
 
 
-# One service per process may run a fork-based batch at a time; workers
-# inherit this module global through the fork instead of unpickling the
-# engine (whose CSA alone can be tens of megabytes).  The lock makes the
-# claim/release atomic when batches are launched from concurrent threads.
-_FORK_SERVICE: "SearchService | None" = None
-_FORK_LOCK = threading.Lock()
+def check_executor(executor: str, store_path: "Path | None") -> str:
+    """Validate an executor choice, resolving platform fallbacks.
+
+    ``processes`` prefers fork (workers inherit the warmed engine
+    copy-on-write); on platforms without fork it becomes ``spawn`` when a
+    saved store (or shard manifest) is at ``store_path`` for workers to
+    reopen, and otherwise degrades to ``threads`` with a warning instead of
+    raising.
+    """
+    if executor not in ("threads", "processes", "spawn"):
+        raise ServiceError(
+            f"executor must be 'threads', 'processes' or 'spawn', "
+            f"got {executor!r}"
+        )
+    methods = multiprocessing.get_all_start_methods()
+    if executor == "spawn":
+        if store_path is None:
+            raise ServiceError(
+                "the 'spawn' executor needs a service opened from a "
+                "saved index store (workers reopen it by path); build "
+                "one with IndexStore.build(...).save() or "
+                "`repro index build`"
+            )
+        if "spawn" not in methods:
+            raise ServiceError(
+                "the 'spawn' start method is unavailable on this platform"
+            )
+        return executor
+    if executor == "processes" and "fork" not in methods:
+        if store_path is not None and "spawn" in methods:
+            return "spawn"
+        warnings.warn(
+            "the 'processes' executor needs the fork start method, or spawn "
+            "and a saved index store, and this service has neither; "
+            "degrading to 'threads'",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return "threads"
+    return executor
 
 
-def _fork_search(
-    task: tuple[Query, int | None, float | None, str],
-) -> QueryResult:
-    query, threshold, e_value, mode = task
-    assert _FORK_SERVICE is not None  # set by the parent before forking
-    return _FORK_SERVICE._search_one(query, threshold, e_value, mode)
+# A pool worker answers for exactly one service, set by the pool initializer.
+# Fork workers call a weak reference to the parent's warmed service: it
+# resolves to the copy inherited with the parent's memory, and being weak it
+# never keeps the service alive in the parent.  Spawn workers carry no parent
+# memory and open their own service through a picklable opener.
+_WORKER_SERVICE = None
 
 
-# Spawn workers carry no parent memory: the pool initializer reopens the
-# parent's saved index store by path (mmap, via the process-wide store
-# cache, so several pools in one worker process share one engine).  The
-# parent's header CRC rides along so a store rebuilt in place between the
-# parent's open and the worker's is a hard error, never mixed results.
-_SPAWN_SERVICE: "SearchService | None" = None
+def _init_worker(opener, args: tuple) -> None:
+    global _WORKER_SERVICE
+    _WORKER_SERVICE = opener(*args)
 
 
-def _spawn_init(
+def _call_service(method, args: tuple):
+    return method(_WORKER_SERVICE, *args)
+
+
+class WarmPool:
+    """One service's worker processes, started lazily and kept across batches.
+
+    ``fork`` workers inherit the warmed service once per pool instead of once
+    per batch; ``spawn`` workers reopen it with ``opener(*opener_args)``.  A
+    batch asking for another start method or worker count rebuilds the pool,
+    and so does the next batch after a worker died.  :meth:`close` reaps the
+    workers; a service dropped without it frees the executor, whose manager
+    thread then retires them.
+    """
+
+    def __init__(self, owner, opener=None, opener_args: tuple = ()) -> None:
+        self._owner = weakref.ref(owner)
+        self._opener = opener
+        self._opener_args = opener_args
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = None
+        self._shape: tuple[str, int] | None = None
+
+    def _executor_for(
+        self, start_method: str, workers: int
+    ) -> ProcessPoolExecutor:
+        """The pool for this shape, (re)built on demand; caller holds the lock."""
+        if self._executor is not None and self._shape != (start_method, workers):
+            self._executor.shutdown(wait=False)  # queued batches still finish
+            self._executor = None
+        if self._executor is None:
+            initargs = (
+                (self._owner, ())
+                if start_method == "fork"
+                else (self._opener, self._opener_args)
+            )
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(start_method),
+                initializer=_init_worker,
+                initargs=initargs,
+            )
+            self._shape = (start_method, workers)
+        return self._executor
+
+    def _drop(self, executor: ProcessPoolExecutor) -> None:
+        """Forget a broken pool; caller holds the lock."""
+        if self._executor is executor:
+            self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def run(
+        self, start_method: str, workers: int, method, calls: list
+    ) -> Iterator:
+        """Yield ``method(service, *args)`` for each ``args``, in order."""
+        with self._lock:
+            for _attempt in range(2):
+                executor = self._executor_for(start_method, workers)
+                try:
+                    futures = [
+                        executor.submit(_call_service, method, args)
+                        for args in calls
+                    ]
+                    break
+                except BrokenProcessPool:  # a worker died while it sat idle
+                    self._drop(executor)
+            else:
+                raise ServiceError("the worker pool broke while starting up")
+        try:
+            for future in futures:
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    with self._lock:
+                        self._drop(executor)
+                    raise ServiceError(
+                        f"a worker process died mid-batch ({exc}); the next "
+                        f"batch starts a fresh pool"
+                    ) from None
+        finally:
+            for future in futures:  # early close: drop calls not yet started
+                future.cancel()
+
+    def close(self) -> None:
+        """Shut the workers down and wait for them (idempotent)."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _open_store_service(
     store_path: str, engine_kwargs: dict, expected_header_crc: int | None
-) -> None:
-    global _SPAWN_SERVICE
-    _SPAWN_SERVICE = SearchService(
-        store=store_path, engine_kwargs=engine_kwargs
-    )
-    worker_crc = _SPAWN_SERVICE.store.header_crc
+) -> "SearchService":
+    """Spawn-worker opener: reopen the parent's saved store by path.
+
+    The store comes from the process-wide store cache (mmap).  The parent's
+    header CRC rides along so a store rebuilt in place between the parent's
+    open and the worker's is a hard error, never mixed results.
+    """
+    service = SearchService(store=store_path, engine_kwargs=engine_kwargs)
+    worker_crc = service.store.header_crc
     if expected_header_crc is not None and worker_crc != expected_header_crc:
         raise ServiceError(
             f"index store {store_path} changed on disk since the parent "
@@ -335,14 +461,7 @@ def _spawn_init(
             f"{expected_header_crc:#010x}); rebuild the service from the "
             f"new store"
         )
-
-
-def _spawn_search(
-    task: tuple[Query, int | None, float | None, str],
-) -> QueryResult:
-    query, threshold, e_value, mode = task
-    assert _SPAWN_SERVICE is not None  # set by the pool initializer
-    return _SPAWN_SERVICE._search_one(query, threshold, e_value, mode)
+    return service
 
 
 class SearchService:
@@ -376,10 +495,12 @@ class SearchService:
         Default worker-pool shape for :meth:`search_batch`: ``threads``
         shares the engine directly (simple, but pure-Python searches
         serialise on the GIL), ``processes`` forks the warmed engine into
-        ``workers`` children for true CPU parallelism (falling back to
+        ``workers`` children once per service, on the first multi-query
+        batch, and reuses them for every later batch (falling back to
         ``spawn`` or ``threads`` where fork is unavailable), and ``spawn``
-        starts fresh workers that reopen the attached store by path —
-        available only for services opened from a *saved* store.
+        starts workers that reopen the attached store by path — available
+        only for services opened from a *saved* store.  :meth:`close` (or a
+        ``with`` block) reaps the workers.
     engine_kwargs:
         Extra keyword arguments forwarded to the engine constructor (for
         store-backed services: the engine's ``use_*`` toggles).
@@ -441,7 +562,7 @@ class SearchService:
             self.alphabet = store.alphabet
             self.scheme = store.scheme
             self.workers = self._check_workers(workers)
-            self.executor = self._check_executor(executor)
+            self.executor = check_executor(executor, self._store_path)
             backend = self._make_backend(self.mode)
         else:
             if database is None:
@@ -453,7 +574,7 @@ class SearchService:
             self.alphabet = DNA if alphabet is None else alphabet
             self.scheme = DEFAULT_SCHEME if scheme is None else scheme
             self.workers = self._check_workers(workers)
-            self.executor = self._check_executor(executor)
+            self.executor = check_executor(executor, self._store_path)
             if self._pinned_engine is not None:
                 backend = _legacy_backend(
                     engine(
@@ -471,6 +592,13 @@ class SearchService:
         # threads never race on their first population.
         if isinstance(self.engine, ALAE) and self.engine.use_domination:
             self.engine.domination_index()
+        self._pool = WarmPool(
+            self,
+            _open_store_service,
+            (str(self._store_path), self._engine_kwargs, self.store.header_crc)
+            if self._store_path is not None
+            else (),
+        )
 
     @classmethod
     def from_store(
@@ -479,55 +607,22 @@ class SearchService:
         """Open a service over a prebuilt index store (no index construction)."""
         return cls(store=path, **kwargs)
 
+    def close(self) -> None:
+        """Reap the worker processes; a later process batch starts afresh."""
+        self._pool.close()
+
+    def __enter__(self) -> "SearchService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------- plumbing
     @staticmethod
     def _check_workers(workers: int) -> int:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         return workers
-
-    def _check_executor(self, executor: str) -> str:
-        """Validate an executor choice, resolving platform fallbacks.
-
-        ``processes`` prefers fork (workers inherit the warmed engine
-        copy-on-write); on platforms without fork it becomes ``spawn`` when
-        a saved store is attached (workers reopen it by path) and otherwise
-        degrades to ``threads`` with a warning instead of raising.
-        """
-        if executor not in ("threads", "processes", "spawn"):
-            raise ServiceError(
-                f"executor must be 'threads', 'processes' or 'spawn', "
-                f"got {executor!r}"
-            )
-        methods = multiprocessing.get_all_start_methods()
-        if executor == "spawn":
-            if self._store_path is None:
-                raise ServiceError(
-                    "the 'spawn' executor needs a service opened from a "
-                    "saved index store (workers reopen it by path); build "
-                    "one with IndexStore.build(...).save() or "
-                    "`repro index build`"
-                )
-            if "spawn" not in methods:
-                raise ServiceError(
-                    "the 'spawn' start method is unavailable on this platform"
-                )
-            return executor
-        if executor == "processes" and "fork" not in methods:
-            if self._store_path is not None and "spawn" in methods:
-                return "spawn"
-            warnings.warn(
-                "the 'processes' executor needs the fork start method "
-                "(unavailable on this platform) and no saved index store "
-                "is attached for spawn workers; degrading to 'threads'",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "threads"
-        return executor
-
-    def _normalize_queries(self, queries: Iterable) -> list[Query]:
-        return normalize_queries(queries)
 
     def _resolve_mode(self, mode: str | None) -> str:
         """Per-call mode, defaulting to the service's own; pin-checked."""
@@ -727,7 +822,7 @@ class SearchService:
         """Search one query and attribute its hits (no pool involved)."""
         top_k = self._check_top_k(top_k)
         mode = self._resolve_mode(mode)
-        (normalized,) = self._normalize_queries([query])
+        (normalized,) = normalize_queries([query])
         result = self._search_one(normalized, threshold, e_value, mode)
         if top_k is not None:
             result = self._apply_top_k(result, top_k)
@@ -753,12 +848,12 @@ class SearchService:
         (descending, position-ordered within ties) and truncates.
         """
         workers = self._check_workers(self.workers if workers is None else workers)
-        executor = self._check_executor(
-            self.executor if executor is None else executor
+        executor = check_executor(
+            self.executor if executor is None else executor, self._store_path
         )
         top_k = self._check_top_k(top_k)
         mode = self._resolve_mode(mode)
-        normalized = self._normalize_queries(queries)
+        normalized = normalize_queries(queries)
         inner = self._iter_validated(
             normalized, threshold, e_value, workers, executor, mode
         )
@@ -779,15 +874,7 @@ class SearchService:
             for query in normalized:
                 yield self._search_one(query, threshold, e_value, mode)
             return
-        if executor == "processes":
-            yield from self._run_forked(
-                normalized, threshold, e_value, workers, mode
-            )
-        elif executor == "spawn":
-            yield from self._run_spawn(
-                normalized, threshold, e_value, workers, mode
-            )
-        else:
+        if executor == "threads":
             pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-search"
             )
@@ -799,6 +886,15 @@ class SearchService:
                 # Early generator close: drop queued queries instead of
                 # finishing the whole batch before returning control.
                 pool.shutdown(wait=True, cancel_futures=True)
+            return
+        if executor == "spawn":
+            self._check_store_unchanged()
+        yield from self._pool.run(
+            "fork" if executor == "processes" else "spawn",
+            workers,
+            SearchService._search_one,
+            [(query, threshold, e_value, mode) for query in normalized],
+        )
 
     def _drain(
         self,
@@ -815,78 +911,16 @@ class SearchService:
         for future in futures:
             yield future.result()
 
-    def _run_forked(
-        self,
-        queries: list[Query],
-        threshold: int | None,
-        e_value: float | None,
-        workers: int,
-        mode: str,
-    ) -> Iterator[QueryResult]:
-        global _FORK_SERVICE
-        with _FORK_LOCK:
-            if _FORK_SERVICE is not None:
-                raise ServiceError(
-                    "another fork-based batch is already running in this process"
-                )
-            _FORK_SERVICE = self
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                futures = [
-                    pool.submit(
-                        _fork_search, (query, threshold, e_value, mode)
-                    )
-                    for query in queries
-                ]
-                for future in futures:
-                    yield future.result()
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-        finally:
-            with _FORK_LOCK:
-                _FORK_SERVICE = None
-
-    def _run_spawn(
-        self,
-        queries: list[Query],
-        threshold: int | None,
-        e_value: float | None,
-        workers: int,
-        mode: str,
-    ) -> Iterator[QueryResult]:
-        assert self._store_path is not None  # enforced by _check_executor
-        # Fail in the parent, with a clean error, when the store file no
-        # longer matches what this service loaded; the worker-side check in
-        # _spawn_init covers the remaining race after this point.
-        expected = self.store.header_crc if self.store is not None else None
-        if expected is not None and header_prefix_crc(self._store_path) != expected:
+    def _check_store_unchanged(self) -> None:
+        """Fail in the parent, with a clean error, when the store file no
+        longer matches what this service loaded; the spawn worker's own
+        check covers the remaining race after this point."""
+        assert self._store_path is not None  # enforced by check_executor
+        if header_prefix_crc(self._store_path) != self.store.header_crc:
             raise ServiceError(
                 f"index store {self._store_path} changed on disk since this "
                 f"service opened it; rebuild the service from the new store"
             )
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_spawn_init,
-            initargs=(
-                str(self._store_path),
-                self._engine_kwargs,
-                self.store.header_crc if self.store is not None else None,
-            ),
-        )
-        try:
-            futures = [
-                pool.submit(_spawn_search, (query, threshold, e_value, mode))
-                for query in queries
-            ]
-            for future in futures:
-                yield future.result()
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def search_batch(
         self,
@@ -901,8 +935,8 @@ class SearchService:
     ) -> BatchReport:
         """Run a whole batch and return results plus aggregate statistics."""
         workers = self._check_workers(self.workers if workers is None else workers)
-        executor = self._check_executor(
-            self.executor if executor is None else executor
+        executor = check_executor(
+            self.executor if executor is None else executor, self._store_path
         )
         started = time.perf_counter()
         results = list(

@@ -29,20 +29,20 @@ hits that can no longer reach the top k.  The floor only ever *raises* the
 threshold to a score already achieved k times, so the returned top k is
 deterministic and identical to ranking the full merge.
 
-Executors mirror the unsharded service: ``threads`` (default), a fork-based
-``processes`` pool inheriting the warmed shard engines copy-on-write, and a
-``spawn`` pool whose workers reopen the *manifest* by path (every shard
-store mmapped fresh, works without fork).
+Executors mirror the unsharded service: ``threads`` (default), or one warm
+:class:`~repro.service.service.WarmPool` per service — ``processes`` workers
+forked once with the warmed shard engines copy-on-write, or ``spawn``
+workers that reopen the *manifest* by path (every shard store mmapped
+fresh, works without fork).
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
-import multiprocessing
 import threading
 import time
-import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -64,6 +64,8 @@ from repro.service.service import (
     QueryResult,
     SearchService,
     ServiceError,
+    WarmPool,
+    check_executor,
     normalize_queries,
 )
 from repro.store.sharded import (
@@ -149,54 +151,24 @@ class _ScoreFloor:
                     heapq.heapreplace(heap, score)
 
 
-# Fork workers inherit the whole sharded service (all shard engines) through
-# the parent's memory image, mirroring service.py's _FORK_SERVICE.
-_FORK_SHARDED: "ShardedSearchService | None" = None
-_FORK_SHARDED_LOCK = threading.Lock()
+def _open_sharded_service(
+    manifest_path: str, engine_kwargs: dict, expected_crc: int
+) -> "ShardedSearchService":
+    """Spawn-worker opener: reopen the manifest by path.
 
-
-def _fork_shard_search(
-    task: "tuple[int, Query, int, str]",
-) -> "tuple[int, QueryResult]":
-    shard, query, threshold, mode = task
-    assert _FORK_SHARDED is not None  # set by the parent before forking
-    return shard, _FORK_SHARDED.services[shard]._search_one(
-        query, threshold, None, mode
-    )
-
-
-# Spawn workers reopen the manifest by path; each shard store comes from the
-# process-wide store cache, so one worker serves every shard of the query
-# it is handed without duplicating mmaps.
-_SPAWN_SHARDED: "ShardedSearchService | None" = None
-
-
-def _sharded_spawn_init(
-    manifest_path: str, engine_kwargs: dict, expected_crc: int | None
-) -> None:
-    global _SPAWN_SHARDED
-    _SPAWN_SHARDED = ShardedSearchService(
-        manifest_path, engine_kwargs=engine_kwargs
-    )
-    if expected_crc is not None:
-        worker_crc = _SPAWN_SHARDED.manifest_crc
-        if worker_crc != expected_crc:
-            raise ServiceError(
-                f"shard manifest {manifest_path} changed on disk since the "
-                f"parent opened it (CRC {worker_crc:#010x} != expected "
-                f"{expected_crc:#010x}); rebuild the service from the new "
-                f"manifest"
-            )
-
-
-def _spawn_shard_search(
-    task: "tuple[int, Query, int, str]",
-) -> "tuple[int, QueryResult]":
-    shard, query, threshold, mode = task
-    assert _SPAWN_SHARDED is not None  # set by the pool initializer
-    return shard, _SPAWN_SHARDED.services[shard]._search_one(
-        query, threshold, None, mode
-    )
+    Each shard store comes from the process-wide store cache, so one worker
+    serves every shard without duplicating mmaps.
+    """
+    service = ShardedSearchService(manifest_path, engine_kwargs=engine_kwargs)
+    worker_crc = service.manifest_crc
+    if worker_crc != expected_crc:
+        raise ServiceError(
+            f"shard manifest {manifest_path} changed on disk since the "
+            f"parent opened it (CRC {worker_crc:#010x} != expected "
+            f"{expected_crc:#010x}); rebuild the service from the new "
+            f"manifest"
+        )
+    return service
 
 
 class ShardedSearchService:
@@ -213,7 +185,8 @@ class ShardedSearchService:
     workers, executor:
         Default pool shape for :meth:`search_batch`.  One *task* is one
         ``(query, shard)`` pair, so even a single query spreads across
-        ``workers`` pool slots.
+        ``workers`` pool slots.  Process workers start on the first
+        process batch and are reused until :meth:`close`.
     mode:
         Default search mode for every call (``exact``, ``fast`` or
         ``verified``); individual calls override it with their own
@@ -257,11 +230,26 @@ class ShardedSearchService:
         self.alphabet = self.services[0].alphabet
         self.scheme = self.services[0].scheme
         self.workers = SearchService._check_workers(workers)
-        self.executor = self._check_executor(executor)
+        self.executor = check_executor(executor, store.path)
         self._global_offsets = store.global_offsets
         self._shard_records = [
             store.shard_records(i) for i in range(store.shard_count)
         ]
+        self._pool = WarmPool(
+            self,
+            _open_sharded_service,
+            (str(store.path), self._engine_kwargs, self.manifest_crc),
+        )
+
+    def close(self) -> None:
+        """Reap the worker processes; a later process batch starts afresh."""
+        self._pool.close()
+
+    def __enter__(self) -> "ShardedSearchService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -281,32 +269,6 @@ class ShardedSearchService:
     def manifest_crc(self) -> int:
         """CRC-32 of the canonical manifest payload this service serves."""
         return _payload_crc(self.store.payload)
-
-    def _check_executor(self, executor: str) -> str:
-        """Mirror :meth:`SearchService._check_executor` for the sharded pools."""
-        if executor not in ("threads", "processes", "spawn"):
-            raise ServiceError(
-                f"executor must be 'threads', 'processes' or 'spawn', "
-                f"got {executor!r}"
-            )
-        methods = multiprocessing.get_all_start_methods()
-        if executor == "spawn":
-            if "spawn" not in methods:
-                raise ServiceError(
-                    "the 'spawn' start method is unavailable on this platform"
-                )
-            return executor
-        if executor == "processes" and "fork" not in methods:
-            if "spawn" in methods:
-                return "spawn"
-            warnings.warn(
-                "the 'processes' executor needs the fork start method "
-                "(unavailable on this platform); degrading to 'threads'",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "threads"
-        return executor
 
     def _resolve_mode(self, mode: str | None) -> str:
         """Per-call mode override: ``None`` means the service default."""
@@ -434,8 +396,8 @@ class ShardedSearchService:
         workers = SearchService._check_workers(
             self.workers if workers is None else workers
         )
-        executor = self._check_executor(
-            self.executor if executor is None else executor
+        executor = check_executor(
+            self.executor if executor is None else executor, self.store.path
         )
         mode = self._resolve_mode(mode)
         normalized = normalize_queries(queries)
@@ -496,10 +458,29 @@ class ShardedSearchService:
             yield from self._run_threads(
                 queries, thresholds, top_k, workers, mode
             )
-        elif executor == "processes":
-            yield from self._run_forked(queries, thresholds, workers, mode)
-        else:
-            yield from self._run_spawn(queries, thresholds, workers, mode)
+            return
+        if executor == "spawn":
+            self._check_manifest_unchanged()
+        results = self._pool.run(
+            "fork" if executor == "processes" else "spawn",
+            workers,
+            ShardedSearchService._search_shard,
+            [
+                (shard, query, h_thr, mode)
+                for query, h_thr in zip(queries, thresholds)
+                for shard in range(self.shard_count)
+            ],
+        )
+        with contextlib.closing(results):
+            for query, h_thr in zip(queries, thresholds):
+                yield query, h_thr, [
+                    next(results) for _shard in range(self.shard_count)
+                ]
+
+    def _search_shard(
+        self, shard: int, query: Query, h_thr: int, mode: str
+    ) -> QueryResult:
+        return self.services[shard]._search_one(query, h_thr, None, mode)
 
     def _shard_task(
         self,
@@ -516,7 +497,7 @@ class ShardedSearchService:
             current = floor.floor(query_index)
             if current is not None and current > effective:
                 effective = current
-        result = self.services[shard]._search_one(query, effective, None, mode)
+        result = self._search_shard(shard, query, effective, mode)
         if floor is not None:
             floor.offer(query_index, (hit.score for hit in result.hits))
         return result
@@ -559,68 +540,10 @@ class ShardedSearchService:
             # Early generator close: drop queued shard tasks.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _collect_process_results(
-        self,
-        pool: ProcessPoolExecutor,
-        task_fn,
-        queries: list[Query],
-        thresholds: list[int],
-        mode: str,
-    ) -> Iterator[tuple[Query, int, list[QueryResult]]]:
-        futures = [
-            [
-                pool.submit(task_fn, (shard, query, h_thr, mode))
-                for shard in range(self.shard_count)
-            ]
-            for query, h_thr in zip(queries, thresholds)
-        ]
-        for query, h_thr, shard_futures in zip(queries, thresholds, futures):
-            per_shard: list[QueryResult] = [None] * self.shard_count  # type: ignore[list-item]
-            for future in shard_futures:
-                shard, result = future.result()
-                per_shard[shard] = result
-            yield query, h_thr, per_shard
-
-    def _run_forked(
-        self,
-        queries: list[Query],
-        thresholds: list[int],
-        workers: int,
-        mode: str,
-    ) -> Iterator[tuple[Query, int, list[QueryResult]]]:
-        global _FORK_SHARDED
-        with _FORK_SHARDED_LOCK:
-            if _FORK_SHARDED is not None:
-                raise ServiceError(
-                    "another fork-based sharded batch is already running in "
-                    "this process"
-                )
-            _FORK_SHARDED = self
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            try:
-                yield from self._collect_process_results(
-                    pool, _fork_shard_search, queries, thresholds, mode
-                )
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-        finally:
-            with _FORK_SHARDED_LOCK:
-                _FORK_SHARDED = None
-
-    def _run_spawn(
-        self,
-        queries: list[Query],
-        thresholds: list[int],
-        workers: int,
-        mode: str,
-    ) -> Iterator[tuple[Query, int, list[QueryResult]]]:
-        # Fail in the parent with a clean error when the manifest on disk no
-        # longer matches; the worker-side check covers the remaining race.
-        expected = self.manifest_crc
+    def _check_manifest_unchanged(self) -> None:
+        """Fail in the parent with a clean error when the manifest on disk
+        no longer matches; the spawn worker's own check covers the
+        remaining race."""
         try:
             on_disk = _payload_crc(read_manifest(self.store.path))
         except ReproError as exc:
@@ -628,24 +551,12 @@ class ShardedSearchService:
                 f"shard manifest {self.store.path} is no longer readable: "
                 f"{exc}"
             ) from None
-        if on_disk != expected:
+        if on_disk != self.manifest_crc:
             raise ServiceError(
                 f"shard manifest {self.store.path} changed on disk since "
                 f"this service opened it; rebuild the service from the new "
                 f"manifest"
             )
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_sharded_spawn_init,
-            initargs=(str(self.store.path), self._engine_kwargs, expected),
-        )
-        try:
-            yield from self._collect_process_results(
-                pool, _spawn_shard_search, queries, thresholds, mode
-            )
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def search_batch(
         self,

@@ -8,6 +8,7 @@ garbage — the accept loop must survive everything a client can do to it.
 """
 
 import asyncio
+import multiprocessing
 import socket
 import struct
 import threading
@@ -389,6 +390,70 @@ class TestMicroBatcher:
         asyncio.run(main())
 
 
+class TestAdaptiveLinger:
+    """A batch waits for company only when a free slot could run it."""
+
+    def _key(self):
+        return BatchKey(threshold=THRESHOLD, e_value=None, top_k=None)
+
+    def test_single_slot_dispatches_at_once(self):
+        async def main():
+            async def runner(queries, key):
+                return [q.id for q in queries]
+
+            batcher = MicroBatcher(runner, max_batch=8, linger=10.0)
+            batcher.start()
+            started = time.perf_counter()
+            lone = await batcher.submit(Query("q0", "ACGT"), self._key())
+            # Arriving right behind the first, this one would linger on the
+            # arrival gap alone; one slot means it must not.
+            next_one = await batcher.submit(Query("q1", "ACGT"), self._key())
+            elapsed = time.perf_counter() - started
+            await batcher.stop()
+            return lone, next_one, elapsed
+
+        lone, next_one, elapsed = asyncio.run(main())
+        assert (lone, next_one) == ("q0", "q1")
+        assert elapsed < 1.0
+
+    def test_multi_slot_burst_within_linger_coalesces(self):
+        async def main():
+            calls = []
+
+            async def runner(queries, key):
+                calls.append([q.id for q in queries])
+                return [q.id for q in queries]
+
+            batcher = MicroBatcher(runner, max_batch=8, linger=0.3, slots=4)
+            batcher.start()
+            futures = [
+                batcher.submit(Query(f"q{i}", "ACGT"), self._key())
+                for i in range(2)
+            ]
+            await asyncio.sleep(0.02)
+            futures.append(batcher.submit(Query("q2", "ACGT"), self._key()))
+            await asyncio.gather(*futures)
+            await batcher.stop()
+            return calls
+
+        assert asyncio.run(main()) == [["q0", "q1", "q2"]]
+
+    def test_multi_slot_sparse_arrival_dispatches_at_once(self):
+        async def main():
+            async def runner(queries, key):
+                return [q.id for q in queries]
+
+            batcher = MicroBatcher(runner, max_batch=8, linger=10.0, slots=4)
+            batcher.start()
+            started = time.perf_counter()
+            await batcher.submit(Query("q0", "ACGT"), self._key())
+            elapsed = time.perf_counter() - started
+            await batcher.stop()
+            return elapsed
+
+        assert asyncio.run(main()) < 1.0
+
+
 class TestServedBitIdentical:
     def test_monolithic_matches_offline(self, serving_setup, running_server):
         offline = SearchService(store=serving_setup["mono"]).search_batch(
@@ -629,6 +694,40 @@ class TestHotReload:
                         break
                     time.sleep(0.05)
                 assert client.ping()["generation"] == generation + 1
+
+    def test_reload_and_stop_reap_worker_processes(self, serving_setup, tmp_path):
+        path = tmp_path / "workers.idx"
+        IndexStore.build(serving_setup["database"]).save(path)
+        before = set(multiprocessing.active_children())
+
+        def workers() -> set:
+            return set(multiprocessing.active_children()) - before
+
+        server = SearchServer(
+            path, port=0, reload_poll=0, workers=2, executor="processes"
+        )
+        with ServerThread(server) as handle:
+            with fresh_client(handle) as client:
+                for seed in (41, 43):
+                    # A multi-query batch starts this generation's pool.
+                    client.search(serving_setup["queries"], threshold=THRESHOLD)
+                    generation = workers()
+                    assert len(generation) == 2
+                    _records, database = self._build(serving_setup, seed)
+                    IndexStore.build(database).save(path)
+                    assert client.reload()["reloaded"] is True
+                    assert not workers() & generation  # old generation reaped
+                served = client.search(
+                    serving_setup["queries"], threshold=THRESHOLD
+                )
+                assert len(workers()) == 2
+                offline = SearchService(store=path).search_batch(
+                    serving_setup["queries"], threshold=THRESHOLD
+                )
+                assert [r.hits for r in served.results] == [
+                    r.hits for r in offline.results
+                ]
+        assert not workers()
 
     def test_sharded_manifest_reload(self, serving_setup, tmp_path):
         manifest = tmp_path / "reload.shd"
