@@ -41,7 +41,6 @@ import numpy as np
 from repro import (
     IndexStore,
     SearchService,
-    ShardedSearchService,
     ShardedStore,
     genome,
     sample_homologous_queries,
@@ -114,7 +113,7 @@ def measure_sharded(
 
     rng = np.random.default_rng(seed)
     (query,) = sample_homologous_queries(database.text, 1, 60, rng)
-    sharded = ShardedSearchService(store)
+    sharded = SearchService(store=store)
     started = time.perf_counter()
     merged = sharded.search(query, threshold=threshold)
     query_s = time.perf_counter() - started

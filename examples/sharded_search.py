@@ -3,9 +3,9 @@
 Partitions a multi-chromosome database into 4 balanced shards (greedy
 bin-packing on sequence length, never splitting a record), builds one
 :class:`repro.store.IndexStore` per shard in a process pool, and serves
-queries through :class:`repro.service.ShardedSearchService`, which fans
-each query across every shard and merges the per-shard hits into results
-bit-identical to the unsharded :class:`repro.service.SearchService`.
+the manifest through :class:`repro.service.SearchService`, which fans each
+query across every shard and merges the per-shard hits into results
+bit-identical to the same service over the unsharded database.
 Finishes with ranked ``top_k`` serving, where a shared score floor lets
 late shard tasks skip hits that can no longer reach the top k.
 
@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import (
-    SearchService,
-    ShardedSearchService,
-    ShardedStore,
-    ShardPlan,
-    genome,
-)
+from repro import SearchService, ShardedStore, ShardPlan, genome
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
 
@@ -61,7 +55,7 @@ def main() -> None:
             f"{build_s:.2f}s ({total:,} bytes, {store.fingerprint_key})"
         )
 
-        sharded = ShardedSearchService(path, workers=4)
+        sharded = SearchService(store=path, workers=4)
         unsharded = SearchService(database)
 
         query = records[3].sequence[2_000:2_080]

@@ -22,9 +22,9 @@ index build / info / verify
     database into K balanced shards — one store per shard plus a
     checksummed manifest — built in parallel with ``--build-workers``.
     ``search`` / ``search-db`` accept ``--index PATH`` pointing at either
-    a single store or a shard manifest; sharded serving fans each query
-    across every shard and merges results bit-identically to the
-    unsharded path (the build-once / serve-many workflow).
+    a single store or a shard manifest; one service fans each query
+    across every shard (a single store is one shard) and merges results
+    bit-identically (the build-once / serve-many workflow).
 analyze
     Print the Section 6 entry-bound table for an alphabet size.
 generate
@@ -68,8 +68,8 @@ from repro.obs import (
 )
 from repro.scoring.scheme import DEFAULT_SCHEME, blast_scheme_grid
 from repro.server import SearchServer, ServerClient, wait_until_ready
-from repro.service import SERVICE_ENGINES, SearchService, ShardedSearchService
-from repro.store import IndexStore, ShardedStore, is_manifest
+from repro.service import SERVICE_ENGINES, SearchService
+from repro.store import IndexStore, ShardedStore, is_manifest, open_index
 from repro.store.format import read_header as read_store_header
 
 logger = logging.getLogger("repro.cli")
@@ -112,7 +112,7 @@ def _parse_scheme(value: str) -> ScoringScheme:
 
 def _make_service(
     args: argparse.Namespace, database: SequenceDatabase | None
-) -> "SearchService | ShardedSearchService":
+) -> SearchService:
     """A service over ``database`` or over ``--index`` (exactly one is set).
 
     ``--index`` accepts a single-store file or a shard manifest — the first
@@ -121,28 +121,12 @@ def _make_service(
     indexed service adopts the store's fingerprint and an explicit flag
     that contradicts it is rejected instead of silently ignored.
     """
-    alphabet = ALPHABETS[args.alphabet] if args.alphabet else None
-    mode = getattr(args, "mode", "exact") or "exact"
-    if args.index is not None and is_manifest(args.index):
-        if args.engine != "alae":
-            raise ReproError(
-                "a sharded index holds ALAE indexes; other engines need a "
-                "database to build from"
-            )
-        return ShardedSearchService(
-            args.index,
-            alphabet=alphabet,
-            scheme=args.scheme,
-            mode=mode,
-            workers=args.workers,
-            executor=args.executor,
-        )
     return SearchService(
         database,
         store=args.index,
         engine=args.engine,
-        mode=mode,
-        alphabet=alphabet,
+        mode=getattr(args, "mode", "exact") or "exact",
+        alphabet=ALPHABETS[args.alphabet] if args.alphabet else None,
         scheme=args.scheme,
         workers=args.workers,
         executor=args.executor,
@@ -189,7 +173,7 @@ def _engine_label(args: argparse.Namespace) -> str:
 
 
 def _run_batch(
-    service: "SearchService | ShardedSearchService",
+    service: SearchService,
     queries: list[FastaRecord],
     args: argparse.Namespace,
 ) -> int:
@@ -294,17 +278,12 @@ def cmd_search_db(args: argparse.Namespace) -> int:
         if args.index is None
         else f"index={Path(args.index).name}"
     )
-    if isinstance(service, ShardedSearchService):
-        shape = (
-            f"sequences={service.record_count} total={service.total_length} "
-            f"shards={service.shard_count}"
-        )
-    else:
-        shape = (
-            f"sequences={len(service.database)} "
-            f"total={service.database.total_length}"
-        )
-    print(f"# {source} {shape} queries={len(queries)}", file=sys.stderr)
+    print(
+        f"# {source} sequences={service.record_count} "
+        f"total={service.total_length} shards={service.shard_count} "
+        f"queries={len(queries)}",
+        file=sys.stderr,
+    )
     return _run_batch(service, queries, args)
 
 
@@ -317,7 +296,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not index.exists():
         print(f"error: index {index} does not exist", file=sys.stderr)
         return 2
-    if is_manifest(index) and not args.shards_ok:
+    if not args.shards_ok and isinstance(open_index(index), ShardedStore):
         print(
             f"error: {index} is a shard manifest; serving it keeps every "
             f"shard engine resident in this process — pass --shards-ok to "
@@ -697,22 +676,6 @@ def cmd_catalog_record_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replay_text(index_path: str | Path) -> str:
-    """The served database text, for synthesizing replay queries.
-
-    Shard stores carry contiguous record ranges in manifest order, so
-    concatenating them reproduces the unsharded text.
-    """
-    index_path = Path(index_path)
-    if is_manifest(index_path):
-        sharded = ShardedStore.open(index_path)
-        return "".join(
-            IndexStore.open(sharded.shard_path(i)).database().text
-            for i in range(sharded.shard_count)
-        )
-    return IndexStore.open(index_path).database().text
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     if not args.plan_only and args.index is None:
         print(
@@ -734,7 +697,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     if args.plan_only:
         return 0
-    text = _replay_text(args.index)
+    # Replay queries are cut from the database in original record order,
+    # so a manifest and a store of the same database replay the same plan.
+    text = open_index(args.index).database().text
     if args.port is not None:
         if args.wait > 0:
             wait_until_ready(args.host, args.port, timeout=args.wait)
@@ -742,12 +707,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             plan, host=args.host, port=args.port, text=text, pace=args.pace,
         )
     else:
-        index = Path(args.index)
-        service = (
-            ShardedSearchService(index)
-            if is_manifest(index)
-            else SearchService(store=index)
-        )
+        service = SearchService(store=args.index)
         report = replay_plan(plan, service=service, text=text, pace=args.pace)
     print(report.format())
     with Catalog(args.replay) as catalog:

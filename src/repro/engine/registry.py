@@ -38,7 +38,7 @@ __all__ = [
 
 #: Declared hit ordering per mode, without materializing a backend —
 #: consumers that merge results from workers they did not run locally
-#: (the sharded service) key off this table; it is derived from the
+#: (the service's shard merge) key off this table; it is derived from the
 #: backend classes, so declaration and behaviour cannot drift.
 MODE_ORDERINGS = {
     "exact": AlaeBackend.info.ordering,

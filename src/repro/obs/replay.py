@@ -319,20 +319,19 @@ def replay_plan(
     """Run a plan against a local service or a live ``repro serve``.
 
     Exactly one target: ``service`` (a :class:`~repro.service.SearchService`
-    or sharded service — ``text`` defaults to its database) or
-    ``host``/``port`` (``text`` is then required to synthesize queries,
-    normally the served index's database).  ``pace=True`` honours the
-    plan's arrival offsets; the default replays back-to-back for a
-    capacity ceiling.  Requests are issued one at a time, so latencies are
+    — ``text`` defaults to its database) or ``host``/``port`` (``text`` is
+    then required to synthesize queries, normally the served index's
+    database).  ``pace=True`` honours the plan's arrival offsets; the
+    default replays back-to-back for a capacity ceiling.  Requests are issued one at a time, so latencies are
     uncontended service times.
     """
     if (service is None) == (host is None or port is None):
         raise ReplayError("pass either service= or host=/port=, not both")
     if text is None:
-        if service is None or not hasattr(service, "database"):
+        if service is None:
             raise ReplayError(
                 "pass text= (the served database text) when replaying "
-                "against a server or a sharded service"
+                "against a server"
             )
         text = service.database.text
     queries = synthesize_queries(plan, text)

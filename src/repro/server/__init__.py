@@ -1,8 +1,8 @@
 """Network serving tier: resident async TCP server over prebuilt indexes.
 
 The layering is ``engine → service → server``: engines answer one query,
-:mod:`repro.service` batches queries over one warmed engine (or a shard
-fan-out), and this package keeps that service resident behind a socket —
+:mod:`repro.service` batches queries over the warmed engines of one or
+more shards, and this package keeps that service resident behind a socket —
 micro-batching concurrent requests, admission-controlling overload,
 caching repeated queries, and hot-reloading the index when the file on
 disk changes.  Start one with ``repro serve --index PATH --port P`` and

@@ -1,10 +1,9 @@
 """The resident serving tier: an asyncio TCP front over a search service.
 
 :class:`SearchServer` keeps one warmed :class:`~repro.service.SearchService`
-(monolithic store) or :class:`~repro.service.ShardedSearchService` (shard
-manifest — the first bytes of ``--index`` decide, exactly as in
-``search-db``) resident in a long-lived process and serves it over the
-length-prefixed JSON protocol of :mod:`repro.server.protocol`:
+over ``--index`` (a store or a shard manifest — the service sniffs which,
+exactly as in ``search-db``) resident in a long-lived process and serves it
+over the length-prefixed JSON protocol of :mod:`repro.server.protocol`:
 
 * every connection may pipeline requests; responses are written strictly in
   request order, and a per-connection in-flight cap stops the reader — TCP
@@ -69,12 +68,9 @@ from repro.service import (
     QueryResult,
     SearchService,
     ServiceError,
-    ShardedSearchService,
     normalize_queries,
 )
-from repro.store import is_manifest, read_manifest
-from repro.store.format import header_prefix_crc
-from repro.store.sharded import manifest_payload_crc
+from repro.store import ShardedStore, index_epoch
 
 logger = logging.getLogger("repro.server")
 
@@ -111,18 +107,6 @@ _OVERLOADED_TOTAL = Counter(
 _KNOWN_OPS = frozenset({"search", "stats", "metrics", "ping", "reload", "shutdown"})
 
 
-def index_epoch(path: str | Path) -> int:
-    """The on-disk identity of an index: header CRC or manifest payload CRC.
-
-    Cheap enough to poll (a 20-byte read for a store, one JSON parse for a
-    manifest) and guaranteed to change whenever the index is rebuilt, so it
-    doubles as the reload trigger and the cache epoch.
-    """
-    if is_manifest(path):
-        return manifest_payload_crc(read_manifest(path))
-    return header_prefix_crc(path)
-
-
 def open_serving_service(
     path: str | Path,
     *,
@@ -130,24 +114,17 @@ def open_serving_service(
     executor: str = "threads",
     mode: str = "exact",
     engine_kwargs: dict | None = None,
-) -> "tuple[SearchService | ShardedSearchService, int]":
-    """Open the right service for an index path; returns ``(service, epoch)``.
+) -> "tuple[SearchService, int]":
+    """Open the service for an index path; returns ``(service, epoch)``.
 
     ``mode`` is the service's *default* search mode (its backend is built
     eagerly); per-request modes are still honoured lazily.
     """
-    path = Path(path)
-    if is_manifest(path):
-        service = ShardedSearchService(
-            path, workers=workers, executor=executor, mode=mode,
-            engine_kwargs=engine_kwargs,
-        )
-        return service, service.manifest_crc
     service = SearchService(
         store=path, workers=workers, executor=executor, mode=mode,
         engine_kwargs=engine_kwargs,
     )
-    return service, service.store.header_crc
+    return service, service.epoch
 
 
 def _wire_hit(hit: LocatedHit) -> list:
@@ -242,7 +219,7 @@ class SearchServer:
         self._batch_shape = {
             "max_batch": max_batch, "linger": linger, "max_queue": max_queue,
         }
-        self.service: "SearchService | ShardedSearchService | None" = None
+        self.service: SearchService | None = None
         self._epoch: int | None = None
         self.generation = 0
         self._server: asyncio.AbstractServer | None = None
@@ -277,7 +254,10 @@ class SearchServer:
 
     @property
     def sharded(self) -> bool:
-        return isinstance(self.service, ShardedSearchService)
+        """Whether the resident index is a shard manifest."""
+        return self.service is not None and isinstance(
+            self.service.store, ShardedStore
+        )
 
     async def start(self) -> None:
         """Open the index, bind the socket, start batcher and reload poll."""

@@ -7,9 +7,10 @@ from repro.service.service import (
     QueryResult,
     SearchService,
     ServiceError,
+    ShardedBatchReport,
+    ShardedSearchService,
     normalize_queries,
 )
-from repro.service.sharded import ShardedBatchReport, ShardedSearchService
 
 __all__ = [
     "SERVICE_ENGINES",

@@ -14,8 +14,10 @@ from repro.store.sharded import (
     MANIFEST_MAGIC,
     MANIFEST_VERSION,
     ShardedStore,
+    index_epoch,
     is_manifest,
     manifest_payload_crc,
+    open_index,
     read_manifest,
     write_manifest,
 )
@@ -29,8 +31,10 @@ __all__ = [
     "StoreError",
     "default_store_cache",
     "fingerprint_key",
+    "index_epoch",
     "is_manifest",
     "manifest_payload_crc",
+    "open_index",
     "read_manifest",
     "write_manifest",
     "MAGIC",

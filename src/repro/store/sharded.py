@@ -43,7 +43,7 @@ from repro.io.database import SequenceDatabase, ShardPlan
 from repro.io.fasta import FastaRecord
 from repro.scoring.scheme import DEFAULT_SCHEME, ScoringScheme
 from repro.store.cache import default_store_cache
-from repro.store.format import MAGIC as STORE_MAGIC
+from repro.store.format import MAGIC as STORE_MAGIC, header_prefix_crc
 from repro.store.store import IndexStore, _fingerprint, fingerprint_key
 
 #: Manifest magic: distinguishes a shard manifest from a binary store.
@@ -420,8 +420,10 @@ class ShardedStore:
     def database(self) -> SequenceDatabase:
         """The *original* database, re-assembled in original record order.
 
-        Mainly for tests and tooling: serving never needs the full
-        concatenation — that is the point of sharding.
+        The one place a manifest's global text is rebuilt — for
+        ``SearchService.database`` and for replay queries, so they match a
+        monolithic store of the same database.  Serving itself never needs
+        the full concatenation — that is the point of sharding.
         """
         by_original: dict[int, FastaRecord] = {}
         for shard in range(self.shard_count):
@@ -449,3 +451,29 @@ class ShardedStore:
                 f"sharded store was built for scheme {built}, not {scheme}; "
                 f"the dominate index depends on q and cannot be reused"
             )
+
+
+def open_index(path: str | Path) -> "IndexStore | ShardedStore":
+    """Open a saved index by path, whichever layout it has.
+
+    A single store comes from the process-wide store cache (mmap); a shard
+    manifest opens as a :class:`ShardedStore` whose shard stores open on
+    first use.  :func:`is_manifest` decides, so callers never name the
+    layout.
+    """
+    if is_manifest(path):
+        return ShardedStore.open(path)
+    return default_store_cache().get(path)
+
+
+def index_epoch(path: str | Path) -> int:
+    """The on-disk identity of an index: header CRC or manifest payload CRC.
+
+    Cheap enough to poll (a 20-byte read for a store, one JSON parse for a
+    manifest) and guaranteed to change whenever the index is rebuilt, so it
+    doubles as the server's reload trigger and cache epoch, and as the
+    service's check before spawn workers reopen the index.
+    """
+    if is_manifest(path):
+        return manifest_payload_crc(read_manifest(path))
+    return header_prefix_crc(path)

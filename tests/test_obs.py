@@ -37,7 +37,7 @@ from repro.obs import (
     synthesize_queries,
 )
 from repro.obs.reqlog import REQUEST_COLUMNS
-from repro.service.sharded import ShardedSearchService
+from repro.service import ShardedSearchService
 
 THRESHOLD = 30
 
@@ -384,6 +384,36 @@ class TestReplayPlan:
         assert set(report.per_shard) == {0, 1}
         assert report.hottest_shard in (0, 1)
         assert "<- hottest" in report.format()
+
+    def test_bench_replays_manifest_over_original_text(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """A manifest and a store of one database replay the same queries:
+        both cut them from the database in original record order, not from
+        the shards' bin-packed order."""
+        import repro.cli as cli
+
+        store = ShardedStore.open(corpus["sharded"])
+        shard_order = [
+            record
+            for shard in range(store.shard_count)
+            for record in store.shard_records(shard)
+        ]
+        assert shard_order != sorted(shard_order)  # bin-packing reordered
+        path = self._catalog_with_traffic(tmp_path)
+        texts = []
+        replay = cli.replay_plan
+
+        def spy(plan, **kwargs):
+            texts.append(kwargs["text"])
+            return replay(plan, **kwargs)
+
+        monkeypatch.setattr(cli, "replay_plan", spy)
+        for index in (corpus["mono"], corpus["sharded"]):
+            argv = ["bench", "--replay", str(path), "--index", str(index),
+                    "--count", "2"]
+            assert cli.main(argv) == 0
+        assert texts == [corpus["database"].text] * 2
 
     def test_replay_requires_exactly_one_target(self, corpus, tmp_path):
         path = self._catalog_with_traffic(tmp_path)

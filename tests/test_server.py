@@ -42,7 +42,7 @@ from repro.server import (
 )
 from repro.server.protocol import PREFIX
 from repro.service import Query, ServiceError
-from repro.service.sharded import ShardedSearchService
+from repro.service import ShardedSearchService
 
 THRESHOLD = 30
 

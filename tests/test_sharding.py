@@ -20,7 +20,7 @@ from repro.cli import main as cli_main
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
 from repro.service import Query, ServiceError
-from repro.service.sharded import ShardedBatchReport, _ScoreFloor
+from repro.service.service import ShardedBatchReport, _ScoreFloor
 from repro.store import IndexStore, is_manifest
 from repro.store.sharded import read_manifest, write_manifest
 
@@ -330,6 +330,72 @@ class TestTopK:
         floor.offer(0, [45, 5])  # 5 can never displace the top 3
         assert floor.floor(0) == 40
         assert floor.floor(1) is None  # floors are per query
+
+
+class TestOneServicePerLayout:
+    """A store is the K=1 shard: every layout goes through one service."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self, database, manifests, tmp_path_factory):
+        root = tmp_path_factory.mktemp("layouts")
+        store = root / "mono.idx"
+        IndexStore.build(database).save(store)
+        k3 = root / "k3.idx"
+        ShardedStore.build(database, k3, shards=3)
+        return {"store": store, "k1": manifests[1], "k3": k3}
+
+    @pytest.mark.parametrize("layout", ["store", "k1", "k3"])
+    def test_top_k_zero_rejected_on_every_layout(
+        self, layout, layouts, queries
+    ):
+        service = SearchService(store=layouts[layout])
+        with pytest.raises(ServiceError, match="top_k must be >= 1"):
+            service.search(queries[0], threshold=THRESHOLD, top_k=0)
+        with pytest.raises(ServiceError, match="top_k must be >= 1"):
+            service.search_batch(queries, threshold=THRESHOLD, top_k=0)
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_k1_manifest_equals_monolithic_store(
+        self, executor, layouts, queries
+    ):
+        with SearchService(store=layouts["store"]) as mono, SearchService(
+            store=layouts["k1"]
+        ) as k1:
+            reports = [
+                service.search_batch(
+                    queries, threshold=THRESHOLD, workers=2, executor=executor
+                )
+                for service in (mono, k1)
+            ]
+        for report in reports:
+            assert report.executor == executor
+            assert len(report.shard_stats) == 1
+            assert len(report.shard_work_seconds) == 1
+        expected, got = (
+            [
+                (
+                    r.query_id,
+                    [hit_tuple(h) for h in r.hits],
+                    r.threshold,
+                    r.raw_hits,
+                    r.dropped_boundary,
+                )
+                for r in report.results
+            ]
+            for report in reports
+        )
+        assert got == expected
+        assert any(hits for _id, hits, _h, _raw, _dropped in expected)
+
+    def test_manifest_database_is_in_original_record_order(
+        self, database, layouts
+    ):
+        for layout in ("store", "k1", "k3"):
+            service = SearchService(store=layouts[layout])
+            assert service.database.text == database.text
+            assert service.database.identifiers == database.identifiers
+            assert service.total_length == database.total_length
+            assert service.record_count == len(database)
 
 
 class TestShardedBatch:

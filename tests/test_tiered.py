@@ -54,7 +54,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.service import Query, SearchService, ServiceError
-from repro.service.sharded import ShardedSearchService
+from repro.service import ShardedSearchService
 from repro.store import ShardedStore
 
 
